@@ -2,7 +2,7 @@
 //!
 //! The declarative scenario lab of the `ssg` workspace: parameter-grid
 //! specs over graph class × size × separation vector × solver × execution
-//! backend × churn rate × palette backend, expanded into deterministic
+//! backend × churn rate, expanded into deterministic
 //! cells and run into a resumable on-disk row log with a
 //! committed-baseline regression gate.
 //!
@@ -34,9 +34,9 @@ pub mod run;
 pub mod spec;
 pub mod table;
 
-pub use cell::{execute_cell, execute_cell_with_palette, CellOutcome, CHURN_EPOCHS};
+pub use cell::{execute_cell, CellOutcome, CHURN_EPOCHS};
 pub use run::{
-    load_dir_spec, profile_path, report_dir, run_lab, run_lab_with_palette, trace_path, LabSummary,
+    load_dir_spec, profile_path, report_dir, run_lab, trace_path, LabSummary,
     ROWS_FILE, SPEC_FILE,
 };
 pub use spec::{fnv1a64, Cell, Class, LabSpec, MAX_CELLS};

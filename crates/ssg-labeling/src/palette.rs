@@ -1,221 +1,45 @@
 //! The palette family `P_0, ..., P_t` of the paper's interval algorithms
-//! (Figure 1 and §3.2), behind a pluggable backend abstraction.
+//! (Figure 1 and §3.2) and of the tree sweeps (Figures 3–5, §4.2).
 //!
-//! Two implementations share the [`PaletteOps`] surface:
+//! * [`BitsetPalette`] — the palette every solver runs on; each
+//!   [`Workspace`](crate::workspace::Workspace) holds one. Each level keeps
+//!   an append-ordered arena of linked colors plus a `u64` liveness word
+//!   per 64 arena slots; `pop` is a find-last-set word scan from a
+//!   monotone top-word hint, and the δ-gap extraction of the §4.2 tree
+//!   approximation tests each candidate against a precomputed `[lo, hi]`
+//!   separation window with branchless compares instead of a per-color
+//!   predicate call. Because a re-link always appends, arena position
+//!   order *is* recency order, so every operation observes the exact LIFO
+//!   semantics of the linked list below.
+//! * [`PaletteFamily`] — the reference, implemented exactly as Theorem 1's
+//!   complexity proof prescribes: doubly linked lists threaded through a
+//!   color-indexed table `C[c]`, so that insertion, extraction of a
+//!   *given* color, and extraction of *some* color are all `O(1)`. It does
+//!   not run in production; this module's tests drive both structures
+//!   through the same random op sequences and require identical
+//!   observables, which is what ties the bitset to the paper's lists.
 //!
-//! * [`PaletteFamily`] — the reference backend, implemented exactly as
-//!   Theorem 1's complexity proof prescribes: doubly linked lists threaded
-//!   through a color-indexed table `C[c]`, so that insertion, extraction of
-//!   a *given* color, and extraction of *some* color are all `O(1)`.
-//! * [`BitsetPalette`] — the hot-loop backend. Each level keeps an
-//!   append-ordered arena of linked colors plus a `u64` liveness word per
-//!   64 arena slots; `pop` is a find-last-set word scan from a monotone
-//!   top-word hint, and the δ-gap extraction of the §4.2 tree
-//!   approximation tests each candidate against a precomputed
-//!   `[lo, hi]` separation window with branchless compares instead of a
-//!   per-color predicate call. Because a re-link always appends, arena
-//!   position order *is* recency order, so every operation observes the
-//!   exact LIFO semantics of the linked list — labelings are bit-identical
-//!   across backends (proven by the differential suites in this module and
-//!   `tests/palette_differential.rs`).
+//! Semantics shared by both: colors live at a *level* `0..=t`, are
+//! *linked* (listed) or *parked* (tracked but extractable only by id),
+//! `pop` returns the most recently linked color of a level, and
+//! `pop_where`/`pop_separated` scan linked colors most-recent-first.
 //!
-//! Solvers hold a [`PaletteBackend`] — a two-variant enum dispatching to
-//! either backend with `#[inline]` matches. The `bench_palette` criterion
-//! microbench measured enum and `&mut dyn PaletteOps` dispatch within
-//! noise of each other on the pop-dominated replay traces (E17/dispatch),
-//! so the enum is kept for its simpler ownership story (a plain value in
-//! the workspace, no boxing) and because it leaves every call site
-//! monomorphic and inlinable; the trait stays dyn-safe so the microbench
-//! can keep measuring that gap and so external code can stay generic.
-//!
-//! Both backends maintain two deterministic work tallies:
+//! Both maintain two deterministic work tallies:
 //!
 //! * `probe_count()` — palette entries *examined* by `pop`/`pop_where`/
 //!   `pop_separated` (the paper-facing probe counter, identical across
-//!   backends on identical op sequences).
-//! * `word_scan_count()` — backend structure words read or written per
-//!   operation (list pointer splices vs bitset word updates), the
-//!   per-probe *work* counter that quantifies the bitset win.
+//!   the two structures on identical op sequences).
+//! * `word_scan_count()` — structure words read or written per operation
+//!   (list pointer splices vs bitset word updates); the bitset's feeds the
+//!   `palette_word_scans` counter.
 
 /// Sentinel for "no color" in the intrusive lists (also used by callers as
-/// a "no parent color" marker for [`PaletteOps::pop_separated`]).
+/// a "no parent color" marker for [`BitsetPalette::pop_separated`]).
 const NIL: u32 = u32::MAX;
-
-/// Which palette backend a workspace should use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum PaletteKind {
-    /// The reference doubly-linked-list family ([`PaletteFamily`]).
-    List,
-    /// The u64-word bitset arena ([`BitsetPalette`]) — the default: its
-    /// labelings are bit-identical to the list backend at lower cost.
-    #[default]
-    Bitset,
-}
-
-impl PaletteKind {
-    /// Both kinds, in canonical (list-first) order.
-    pub const ALL: [PaletteKind; 2] = [PaletteKind::List, PaletteKind::Bitset];
-
-    /// Canonical lowercase name (`"list"` / `"bitset"`), as accepted by
-    /// [`parse`](Self::parse) and the CLI `--palette` flag.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            PaletteKind::List => "list",
-            PaletteKind::Bitset => "bitset",
-        }
-    }
-
-    /// Parses a canonical name; the error names the accepted values.
-    pub fn parse(s: &str) -> Result<PaletteKind, String> {
-        match s {
-            "list" => Ok(PaletteKind::List),
-            "bitset" => Ok(PaletteKind::Bitset),
-            other => Err(format!("unknown palette backend '{other}' (expected list|bitset)")),
-        }
-    }
-}
-
-impl std::str::FromStr for PaletteKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        PaletteKind::parse(s)
-    }
-}
-
-impl std::fmt::Display for PaletteKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-/// The operations the solvers use against a palette family. Dyn-safe
-/// (see [`pop_where_dyn`](Self::pop_where_dyn)); the generic
-/// [`pop_where`](Self::pop_where) convenience is provided for sized uses.
-///
-/// Semantics contract (shared by every backend, differentially tested):
-/// colors live at a *level* `0..=t`, are *linked* (listed) or *parked*
-/// (tracked but extractable only by id), `pop` returns the most recently
-/// linked color of a level, and `pop_where`/`pop_separated` scan linked
-/// colors most-recent-first.
-pub trait PaletteOps {
-    /// Reinitializes to the state a fresh `new(t, pool)` would produce —
-    /// `t + 1` empty palettes, colors `0..pool` linked into `P_0` in LIFO
-    /// order, zeroed probe/word tallies — retaining buffer capacity so a
-    /// warm [`Workspace`](crate::workspace::Workspace) reruns without
-    /// heap allocation.
-    fn reset(&mut self, t: u32, pool: usize);
-
-    /// Sum of the capacities (in elements) of the internal buffers; equal
-    /// footprints across repeated same-sized solves certify that no
-    /// buffer regrew.
-    fn capacity_footprint(&self) -> usize;
-
-    /// Number of palettes (`t + 1`).
-    fn num_levels(&self) -> usize;
-
-    /// Total colors ever introduced.
-    fn pool_size(&self) -> usize;
-
-    /// Introduces the next color (id `pool_size()`), linked into `P_0`;
-    /// returns its id.
-    fn grow(&mut self) -> u32;
-
-    /// The palette index currently holding color `c`.
-    fn level_of(&self, c: u32) -> u32;
-
-    /// Whether `c` is linked into its palette's list (not parked).
-    fn is_linked(&self, c: u32) -> bool;
-
-    /// Number of linked colors in palette `j`.
-    fn len(&self, j: u32) -> usize;
-
-    /// Whether palette `j` has no linked colors.
-    fn is_empty(&self, j: u32) -> bool {
-        self.len(j) == 0
-    }
-
-    /// Links `c` into palette `j` (front insertion) and records its level.
-    /// `c` must not currently be linked.
-    fn link(&mut self, j: u32, c: u32);
-
-    /// Unlinks `c` from its palette list, keeping its level (parks it).
-    fn unlink(&mut self, c: u32);
-
-    /// Moves a linked color to palette `j` (unlink + link).
-    fn move_to(&mut self, c: u32, j: u32);
-
-    /// Sets the level of a *parked* color without linking it.
-    fn set_parked_level(&mut self, c: u32, j: u32);
-
-    /// Pops some color from palette `j` (the most recently inserted), or
-    /// `None` when the palette is empty.
-    fn pop(&mut self, j: u32) -> Option<u32>;
-
-    /// Dyn-safe [`pop_where`](Self::pop_where): pops the first linked
-    /// color of palette `j` satisfying `pred`, scanning
-    /// most-recent-first.
-    fn pop_where_dyn(&mut self, j: u32, pred: &mut dyn FnMut(u32) -> bool) -> Option<u32>;
-
-    /// Pops the first linked color `c` of palette `j` (most-recent-first)
-    /// with `|c - parent| >= delta1`, or any color when `parent` is
-    /// `u32::MAX` or `delta1 <= 1`. This is the §4.2 tree-approximation
-    /// extraction; backends may specialize it (the bitset backend tests a
-    /// precomputed `[lo, hi]` forbidden window with branchless compares
-    /// instead of calling a predicate per color). Examines exactly the
-    /// colors the equivalent `pop_where` would.
-    fn pop_separated(&mut self, j: u32, parent: u32, delta1: u32) -> Option<u32>;
-
-    /// Palette entries examined by `pop`/`pop_where`/`pop_separated`
-    /// since creation/reset — the "palette probe" counter reported by
-    /// telemetry. Identical across backends on identical op sequences.
-    fn probe_count(&self) -> u64;
-
-    /// Backend structure words read or written by palette operations
-    /// since creation/reset (list pointer-table splices vs bitset
-    /// word/arena updates, including shared level bookkeeping). The
-    /// deterministic per-probe *work* tally behind the
-    /// `palette_word_scans` counter.
-    fn word_scan_count(&self) -> u64;
-
-    /// The [`word_scan_count`](Self::word_scan_count) portion charged by
-    /// `pop`/`pop_where`/`pop_separated` — the extraction ("probe phase")
-    /// work alone, excluding `link`/`unlink`/`grow` bookkeeping that both
-    /// backends pay near-identically. This is the tally behind the
-    /// `palette_pop` histogram and the headline list-vs-bitset ratio:
-    /// a list pop costs a head read plus a full pointer splice, a bitset
-    /// pop costs one word scan plus a bit clear.
-    fn pop_word_scan_count(&self) -> u64;
-
-    /// Appends the linked colors of palette `j`, most-recent-first, onto
-    /// `out` without clearing it — callers iterating every level reuse
-    /// one buffer instead of re-walking and re-allocating per level.
-    fn collect_into(&self, j: u32, out: &mut Vec<u32>);
-
-    /// Pops the first linked color of palette `j` satisfying `pred`,
-    /// scanning most-recent-first. The predicate may carry mutable state.
-    fn pop_where<F: FnMut(u32) -> bool>(&mut self, j: u32, mut pred: F) -> Option<u32>
-    where
-        Self: Sized,
-    {
-        self.pop_where_dyn(j, &mut pred)
-    }
-
-    /// The linked colors of palette `j`, most-recent-first (allocating
-    /// convenience over [`collect_into`](Self::collect_into)).
-    fn collect(&self, j: u32) -> Vec<u32>
-    where
-        Self: Sized,
-    {
-        let mut out = Vec::new();
-        self.collect_into(j, &mut out);
-        out
-    }
-}
 
 /// A family of `t + 1` palettes over colors `0..pool_size`, with O(1)
 /// insert / remove / pop and per-color level tracking — the reference
-/// linked-list backend.
+/// linked lists of Theorem 1 that [`BitsetPalette`] is checked against.
 ///
 /// A color is always *assigned a level* once introduced, but may be
 /// temporarily **parked** (tracked at its level yet not linked into the
@@ -231,15 +55,6 @@ pub struct PaletteFamily {
     len: Vec<usize>,
     probes: u64,
     word_scans: u64,
-    pop_word_scans: u64,
-}
-
-impl Default for PaletteFamily {
-    /// The cold state of a workspace arena: `P_0` alone, empty pool.
-    /// Solvers reinitialize with [`reset`](Self::reset) before use.
-    fn default() -> Self {
-        Self::new(0, 0)
-    }
 }
 
 impl PaletteFamily {
@@ -251,19 +66,16 @@ impl PaletteFamily {
             prev: Vec::new(),
             level: Vec::new(),
             linked: Vec::new(),
-            head: vec![NIL; t as usize + 1],
-            len: vec![0; t as usize + 1],
+            head: Vec::new(),
+            len: Vec::new(),
             probes: 0,
             word_scans: 0,
-            pop_word_scans: 0,
         };
-        for _ in 0..pool {
-            f.grow();
-        }
+        f.reset(t, pool);
         f
     }
 
-    /// See [`PaletteOps::reset`].
+    /// See [`BitsetPalette::reset`].
     pub fn reset(&mut self, t: u32, pool: usize) {
         self.next.clear();
         self.prev.clear();
@@ -275,20 +87,9 @@ impl PaletteFamily {
         self.len.resize(t as usize + 1, 0);
         self.probes = 0;
         self.word_scans = 0;
-        self.pop_word_scans = 0;
         for _ in 0..pool {
             self.grow();
         }
-    }
-
-    /// See [`PaletteOps::capacity_footprint`].
-    pub fn capacity_footprint(&self) -> usize {
-        self.next.capacity()
-            + self.prev.capacity()
-            + self.level.capacity()
-            + self.linked.capacity()
-            + self.head.capacity()
-            + self.len.capacity()
     }
 
     /// Number of palettes (`t + 1`).
@@ -315,25 +116,21 @@ impl PaletteFamily {
     }
 
     /// The palette index currently holding color `c`.
-    #[inline]
     pub fn level_of(&self, c: u32) -> u32 {
         self.level[c as usize]
     }
 
     /// Whether `c` is linked into its palette's list (not parked).
-    #[inline]
     pub fn is_linked(&self, c: u32) -> bool {
         self.linked[c as usize]
     }
 
     /// Number of linked colors in palette `j`.
-    #[inline]
     pub fn len(&self, j: u32) -> usize {
         self.len[j as usize]
     }
 
     /// Whether palette `j` has no linked colors.
-    #[inline]
     pub fn is_empty(&self, j: u32) -> bool {
         self.len[j as usize] == 0
     }
@@ -395,43 +192,33 @@ impl PaletteFamily {
     /// Pops some color from palette `j` (the most recently inserted), or
     /// `None` when the palette is empty.
     pub fn pop(&mut self, j: u32) -> Option<u32> {
-        let before = self.word_scans;
         self.probes += 1;
         self.word_scans += 1;
         let h = self.head[j as usize];
-        let out = if h == NIL {
-            None
-        } else {
-            self.unlink(h);
-            Some(h)
-        };
-        self.pop_word_scans += self.word_scans - before;
-        out
+        if h == NIL {
+            return None;
+        }
+        self.unlink(h);
+        Some(h)
     }
 
     /// Pops the first linked color of palette `j` satisfying `pred`,
-    /// scanning front to back. Used by the §4.2 tree approximation, whose
-    /// predicate rejects at most `2(δ1-1)` colors — O(δ1) there. The
-    /// predicate may carry mutable state.
+    /// scanning front to back. The predicate may carry mutable state.
     pub fn pop_where(&mut self, j: u32, mut pred: impl FnMut(u32) -> bool) -> Option<u32> {
-        let before = self.word_scans;
         let mut c = self.head[j as usize];
-        let mut out = None;
         while c != NIL {
             self.probes += 1;
             self.word_scans += 1;
             if pred(c) {
                 self.unlink(c);
-                out = Some(c);
-                break;
+                return Some(c);
             }
             c = self.next[c as usize];
         }
-        self.pop_word_scans += self.word_scans - before;
-        out
+        None
     }
 
-    /// See [`PaletteOps::pop_separated`].
+    /// See [`BitsetPalette::pop_separated`].
     pub fn pop_separated(&mut self, j: u32, parent: u32, delta1: u32) -> Option<u32> {
         if parent == NIL || delta1 <= 1 {
             return self.pop(j);
@@ -441,36 +228,24 @@ impl PaletteFamily {
         self.pop_where(j, move |c| c < lo || c > hi)
     }
 
-    /// See [`PaletteOps::probe_count`].
+    /// See [`BitsetPalette::probe_count`].
     pub fn probe_count(&self) -> u64 {
         self.probes
     }
 
-    /// See [`PaletteOps::word_scan_count`].
+    /// See [`BitsetPalette::word_scan_count`].
     pub fn word_scan_count(&self) -> u64 {
         self.word_scans
     }
 
-    /// See [`PaletteOps::pop_word_scan_count`].
-    pub fn pop_word_scan_count(&self) -> u64 {
-        self.pop_word_scans
-    }
-
-    /// See [`PaletteOps::collect_into`].
-    pub fn collect_into(&self, j: u32, out: &mut Vec<u32>) {
+    /// The linked colors of palette `j`, front to back.
+    pub fn collect(&self, j: u32) -> Vec<u32> {
+        let mut out = Vec::new();
         let mut c = self.head[j as usize];
         while c != NIL {
             out.push(c);
             c = self.next[c as usize];
         }
-    }
-
-    /// The linked colors of palette `j`, front to back (test helper;
-    /// O(len); allocates — loops over levels should reuse a buffer with
-    /// [`collect_into`](Self::collect_into)).
-    pub fn collect(&self, j: u32) -> Vec<u32> {
-        let mut out = Vec::new();
-        self.collect_into(j, &mut out);
         out
     }
 }
@@ -503,19 +278,19 @@ impl LevelArena {
     }
 }
 
-/// The u64-word bitset palette backend: per-level append-order arenas
-/// with packed liveness words (the private `LevelArena`), plus per-color
-/// `pos`/`level` tables. Unlike the list backend there is *no* separate
-/// linked-flag table — linked-ness is derived from the liveness bit at
-/// `(level[c], pos[c])` (see [`is_linked`](Self::is_linked)), which saves
-/// one table write in every `link`/`unlink`/`pop`.
+/// The u64-word bitset palette the solvers run on: per-level append-order
+/// arenas with packed liveness words (the private `LevelArena`), plus
+/// per-color `pos`/`level` tables. Unlike [`PaletteFamily`] there is *no*
+/// separate linked-flag table — linked-ness is derived from the liveness
+/// bit at `(level[c], pos[c])` (see [`is_linked`](Self::is_linked)), which
+/// saves one table write in every `link`/`unlink`/`pop`.
 ///
 /// `pop` scans liveness words downward from the level's `scan_top` hint
 /// and takes the highest set bit — the most recent link — in one
 /// `leading_zeros`. `pop_where`/`pop_separated` iterate set bits
 /// most-significant-first, so candidates are examined in exactly the
 /// order the linked list would examine them and `probe_count()` matches
-/// the list backend probe-for-probe.
+/// [`PaletteFamily`] probe-for-probe.
 #[derive(Debug, Clone)]
 pub struct BitsetPalette {
     /// Color → its slot in its level's arena (valid while linked; after
@@ -526,7 +301,6 @@ pub struct BitsetPalette {
     levels: Vec<LevelArena>,
     probes: u64,
     word_scans: u64,
-    pop_word_scans: u64,
 }
 
 impl Default for BitsetPalette {
@@ -546,13 +320,16 @@ impl BitsetPalette {
             levels: Vec::new(),
             probes: 0,
             word_scans: 0,
-            pop_word_scans: 0,
         };
         p.reset(t, pool);
         p
     }
 
-    /// See [`PaletteOps::reset`].
+    /// Reinitializes to the state `new(t, pool)` would produce — `t + 1`
+    /// empty palettes, colors `0..pool` linked into `P_0` in LIFO order,
+    /// zeroed probe/word tallies — retaining buffer capacity so a warm
+    /// [`Workspace`](crate::workspace::Workspace) reruns without heap
+    /// allocation.
     pub fn reset(&mut self, t: u32, pool: usize) {
         self.pos.clear();
         self.level.clear();
@@ -566,7 +343,6 @@ impl BitsetPalette {
         }
         self.probes = 0;
         self.word_scans = 0;
-        self.pop_word_scans = 0;
         // Bulk pool fill: identical observable state to `pool` front
         // insertions into P_0 (slot i holds color i, all live), without
         // per-color splicing.
@@ -586,7 +362,9 @@ impl BitsetPalette {
         }
     }
 
-    /// See [`PaletteOps::capacity_footprint`].
+    /// Sum of the capacities (in elements) of the internal buffers; equal
+    /// footprints across repeated same-sized solves certify that no
+    /// buffer regrew.
     pub fn capacity_footprint(&self) -> usize {
         self.pos.capacity()
             + self.level.capacity()
@@ -705,12 +483,10 @@ impl BitsetPalette {
     /// Pops the most recently linked color of palette `j` by find-last-set
     /// over the liveness words, or `None` when the palette is empty.
     pub fn pop(&mut self, j: u32) -> Option<u32> {
-        let before = self.word_scans;
         self.probes += 1;
         let arena = &mut self.levels[j as usize];
         if arena.len == 0 {
             self.word_scans += 1;
-            self.pop_word_scans += 1;
             return None;
         }
         let mut w = arena.scan_top;
@@ -726,7 +502,6 @@ impl BitsetPalette {
                 // Word tally: liveness write, arena slot read. No parked
                 // flag to maintain — the cleared bit is the record.
                 self.word_scans += 2;
-                self.pop_word_scans += self.word_scans - before;
                 return Some(c);
             }
             debug_assert!(w > 0, "len > 0 but no set bit at or below scan_top");
@@ -742,8 +517,12 @@ impl BitsetPalette {
         self.pop_scan(j, pred)
     }
 
-    /// See [`PaletteOps::pop_separated`]: branchless `[lo, hi]` forbidden
-    /// window instead of a per-color predicate call.
+    /// Pops the first linked color `c` of palette `j` (most-recent-first)
+    /// with `|c - parent| >= delta1`, or any color when `parent` is
+    /// `u32::MAX` or `delta1 <= 1` — the §4.2 tree-approximation
+    /// extraction. Tests a precomputed `[lo, hi]` forbidden window with
+    /// branchless compares instead of calling a predicate per color, and
+    /// examines exactly the colors the equivalent `pop_where` would.
     pub fn pop_separated(&mut self, j: u32, parent: u32, delta1: u32) -> Option<u32> {
         if parent == NIL || delta1 <= 1 {
             return self.pop(j);
@@ -756,11 +535,9 @@ impl BitsetPalette {
     /// Shared most-recent-first accepted-candidate scan for
     /// [`pop_where`](Self::pop_where) / [`pop_separated`](Self::pop_separated).
     fn pop_scan(&mut self, j: u32, mut accept: impl FnMut(u32) -> bool) -> Option<u32> {
-        let before = self.word_scans;
         let arena = &mut self.levels[j as usize];
         if arena.len == 0 {
             self.word_scans += 1;
-            self.pop_word_scans += 1;
             return None;
         }
         let mut w = arena.scan_top as isize;
@@ -776,37 +553,33 @@ impl BitsetPalette {
                     arena.bits[w as usize] &= !(1u64 << bit);
                     arena.len -= 1;
                     self.word_scans += 1;
-                    self.pop_word_scans += self.word_scans - before;
                     return Some(c);
                 }
                 word &= !(1u64 << bit);
             }
             w -= 1;
         }
-        self.pop_word_scans += self.word_scans - before;
         None
     }
 
-    /// See [`PaletteOps::probe_count`].
+    /// Palette entries examined by `pop`/`pop_where`/`pop_separated`
+    /// since creation/reset — the `palette_probes` counter.
     pub fn probe_count(&self) -> u64 {
         self.probes
     }
 
-    /// See [`PaletteOps::word_scan_count`].
+    /// Structure words read or written by palette operations since
+    /// creation/reset — the `palette_word_scans` counter.
     pub fn word_scan_count(&self) -> u64 {
         self.word_scans
     }
 
-    /// See [`PaletteOps::pop_word_scan_count`].
-    pub fn pop_word_scan_count(&self) -> u64 {
-        self.pop_word_scans
-    }
-
-    /// See [`PaletteOps::collect_into`].
-    pub fn collect_into(&self, j: u32, out: &mut Vec<u32>) {
+    /// The linked colors of palette `j`, most-recent-first.
+    pub fn collect(&self, j: u32) -> Vec<u32> {
+        let mut out = Vec::new();
         let arena = &self.levels[j as usize];
         if arena.len == 0 {
-            return;
+            return out;
         }
         for w in (0..=arena.scan_top.min(arena.bits.len().saturating_sub(1))).rev() {
             let mut word = arena.bits[w];
@@ -816,249 +589,6 @@ impl BitsetPalette {
                 word &= !(1u64 << bit);
             }
         }
-    }
-
-    /// The linked colors of palette `j`, most-recent-first.
-    pub fn collect(&self, j: u32) -> Vec<u32> {
-        let mut out = Vec::new();
-        self.collect_into(j, &mut out);
-        out
-    }
-}
-
-macro_rules! forward_palette_ops {
-    ($ty:ty) => {
-        impl PaletteOps for $ty {
-            fn reset(&mut self, t: u32, pool: usize) {
-                <$ty>::reset(self, t, pool)
-            }
-            fn capacity_footprint(&self) -> usize {
-                <$ty>::capacity_footprint(self)
-            }
-            fn num_levels(&self) -> usize {
-                <$ty>::num_levels(self)
-            }
-            fn pool_size(&self) -> usize {
-                <$ty>::pool_size(self)
-            }
-            fn grow(&mut self) -> u32 {
-                <$ty>::grow(self)
-            }
-            fn level_of(&self, c: u32) -> u32 {
-                <$ty>::level_of(self, c)
-            }
-            fn is_linked(&self, c: u32) -> bool {
-                <$ty>::is_linked(self, c)
-            }
-            fn len(&self, j: u32) -> usize {
-                <$ty>::len(self, j)
-            }
-            fn is_empty(&self, j: u32) -> bool {
-                <$ty>::is_empty(self, j)
-            }
-            fn link(&mut self, j: u32, c: u32) {
-                <$ty>::link(self, j, c)
-            }
-            fn unlink(&mut self, c: u32) {
-                <$ty>::unlink(self, c)
-            }
-            fn move_to(&mut self, c: u32, j: u32) {
-                <$ty>::move_to(self, c, j)
-            }
-            fn set_parked_level(&mut self, c: u32, j: u32) {
-                <$ty>::set_parked_level(self, c, j)
-            }
-            fn pop(&mut self, j: u32) -> Option<u32> {
-                <$ty>::pop(self, j)
-            }
-            fn pop_where_dyn(&mut self, j: u32, pred: &mut dyn FnMut(u32) -> bool) -> Option<u32> {
-                <$ty>::pop_where(self, j, |c| pred(c))
-            }
-            fn pop_separated(&mut self, j: u32, parent: u32, delta1: u32) -> Option<u32> {
-                <$ty>::pop_separated(self, j, parent, delta1)
-            }
-            fn probe_count(&self) -> u64 {
-                <$ty>::probe_count(self)
-            }
-            fn word_scan_count(&self) -> u64 {
-                <$ty>::word_scan_count(self)
-            }
-            fn pop_word_scan_count(&self) -> u64 {
-                <$ty>::pop_word_scan_count(self)
-            }
-            fn collect_into(&self, j: u32, out: &mut Vec<u32>) {
-                <$ty>::collect_into(self, j, out)
-            }
-        }
-    };
-}
-
-forward_palette_ops!(PaletteFamily);
-forward_palette_ops!(BitsetPalette);
-forward_palette_ops!(PaletteBackend);
-
-/// Enum-dispatched palette backend held by every
-/// [`Workspace`](crate::workspace::Workspace). Both variants implement
-/// the same observable semantics (differentially tested), so solvers are
-/// backend-agnostic and labelings are bit-identical across variants.
-#[derive(Debug, Clone)]
-pub enum PaletteBackend {
-    /// The reference linked-list family.
-    List(PaletteFamily),
-    /// The u64-word bitset arena (default).
-    Bitset(BitsetPalette),
-}
-
-impl Default for PaletteBackend {
-    fn default() -> Self {
-        PaletteBackend::Bitset(BitsetPalette::default())
-    }
-}
-
-macro_rules! on_backend {
-    ($self:expr, $p:ident => $body:expr) => {
-        match $self {
-            PaletteBackend::List($p) => $body,
-            PaletteBackend::Bitset($p) => $body,
-        }
-    };
-}
-
-impl PaletteBackend {
-    /// A cold backend of the given kind (empty pool, `P_0` alone).
-    pub fn with_kind(kind: PaletteKind) -> Self {
-        match kind {
-            PaletteKind::List => PaletteBackend::List(PaletteFamily::default()),
-            PaletteKind::Bitset => PaletteBackend::Bitset(BitsetPalette::default()),
-        }
-    }
-
-    /// Which backend this is.
-    pub fn kind(&self) -> PaletteKind {
-        match self {
-            PaletteBackend::List(_) => PaletteKind::List,
-            PaletteBackend::Bitset(_) => PaletteKind::Bitset,
-        }
-    }
-
-    /// See [`PaletteOps::reset`].
-    #[inline]
-    pub fn reset(&mut self, t: u32, pool: usize) {
-        on_backend!(self, p => p.reset(t, pool))
-    }
-
-    /// See [`PaletteOps::capacity_footprint`].
-    pub fn capacity_footprint(&self) -> usize {
-        on_backend!(self, p => p.capacity_footprint())
-    }
-
-    /// Number of palettes (`t + 1`).
-    pub fn num_levels(&self) -> usize {
-        on_backend!(self, p => p.num_levels())
-    }
-
-    /// Total colors ever introduced.
-    pub fn pool_size(&self) -> usize {
-        on_backend!(self, p => p.pool_size())
-    }
-
-    /// Introduces the next color (id `pool_size()`), linked into `P_0`.
-    #[inline]
-    pub fn grow(&mut self) -> u32 {
-        on_backend!(self, p => p.grow())
-    }
-
-    /// The palette index currently holding color `c`.
-    #[inline]
-    pub fn level_of(&self, c: u32) -> u32 {
-        on_backend!(self, p => p.level_of(c))
-    }
-
-    /// Whether `c` is linked into its palette's list (not parked).
-    #[inline]
-    pub fn is_linked(&self, c: u32) -> bool {
-        on_backend!(self, p => p.is_linked(c))
-    }
-
-    /// Number of linked colors in palette `j`.
-    #[inline]
-    pub fn len(&self, j: u32) -> usize {
-        on_backend!(self, p => p.len(j))
-    }
-
-    /// Whether palette `j` has no linked colors.
-    #[inline]
-    pub fn is_empty(&self, j: u32) -> bool {
-        on_backend!(self, p => p.is_empty(j))
-    }
-
-    /// Links `c` into palette `j` (front insertion in recency order).
-    #[inline]
-    pub fn link(&mut self, j: u32, c: u32) {
-        on_backend!(self, p => p.link(j, c))
-    }
-
-    /// Unlinks `c`, keeping its level (parks it).
-    #[inline]
-    pub fn unlink(&mut self, c: u32) {
-        on_backend!(self, p => p.unlink(c))
-    }
-
-    /// Moves a linked color to palette `j`.
-    #[inline]
-    pub fn move_to(&mut self, c: u32, j: u32) {
-        on_backend!(self, p => p.move_to(c, j))
-    }
-
-    /// Sets the level of a *parked* color without linking it.
-    #[inline]
-    pub fn set_parked_level(&mut self, c: u32, j: u32) {
-        on_backend!(self, p => p.set_parked_level(c, j))
-    }
-
-    /// Pops the most recently linked color of palette `j`.
-    #[inline]
-    pub fn pop(&mut self, j: u32) -> Option<u32> {
-        on_backend!(self, p => p.pop(j))
-    }
-
-    /// Pops the first linked color of palette `j` satisfying `pred`,
-    /// scanning most-recent-first; the predicate may carry mutable state.
-    #[inline]
-    pub fn pop_where(&mut self, j: u32, mut pred: impl FnMut(u32) -> bool) -> Option<u32> {
-        on_backend!(self, p => p.pop_where(j, &mut pred))
-    }
-
-    /// See [`PaletteOps::pop_separated`].
-    #[inline]
-    pub fn pop_separated(&mut self, j: u32, parent: u32, delta1: u32) -> Option<u32> {
-        on_backend!(self, p => p.pop_separated(j, parent, delta1))
-    }
-
-    /// See [`PaletteOps::probe_count`].
-    pub fn probe_count(&self) -> u64 {
-        on_backend!(self, p => p.probe_count())
-    }
-
-    /// See [`PaletteOps::word_scan_count`].
-    pub fn word_scan_count(&self) -> u64 {
-        on_backend!(self, p => p.word_scan_count())
-    }
-
-    /// See [`PaletteOps::pop_word_scan_count`].
-    pub fn pop_word_scan_count(&self) -> u64 {
-        on_backend!(self, p => p.pop_word_scan_count())
-    }
-
-    /// See [`PaletteOps::collect_into`].
-    pub fn collect_into(&self, j: u32, out: &mut Vec<u32>) {
-        on_backend!(self, p => p.collect_into(j, out))
-    }
-
-    /// The linked colors of palette `j`, most-recent-first.
-    pub fn collect(&self, j: u32) -> Vec<u32> {
-        let mut out = Vec::new();
-        self.collect_into(j, &mut out);
         out
     }
 }
@@ -1067,62 +597,50 @@ impl PaletteBackend {
 mod tests {
     use super::*;
 
-    /// Runs a scenario against both backends and asserts identical
-    /// observable results.
-    fn on_both(scenario: impl Fn(&mut PaletteBackend) -> Vec<u32>) {
-        let mut list = PaletteBackend::with_kind(PaletteKind::List);
-        let mut bitset = PaletteBackend::with_kind(PaletteKind::Bitset);
-        let a = scenario(&mut list);
-        let b = scenario(&mut bitset);
-        assert_eq!(a, b, "list and bitset backends diverged");
-    }
-
-    #[test]
-    fn kind_parses_and_renders() {
-        assert_eq!(PaletteKind::parse("list"), Ok(PaletteKind::List));
-        assert_eq!("bitset".parse::<PaletteKind>(), Ok(PaletteKind::Bitset));
-        assert!(PaletteKind::parse("lists").is_err());
-        assert_eq!(PaletteKind::default(), PaletteKind::Bitset);
-        assert_eq!(PaletteKind::List.to_string(), "list");
-        assert_eq!(PaletteBackend::default().kind(), PaletteKind::Bitset);
-        for kind in PaletteKind::ALL {
-            assert_eq!(PaletteBackend::with_kind(kind).kind(), kind);
-        }
+    /// Evaluates `$body` with `$f` bound to a fresh `new($t, $pool)` of the
+    /// reference lists, then of the bitset, asserts the two results are
+    /// equal and returns the reference's.
+    macro_rules! on_both {
+        ($f:ident = ($t:expr, $pool:expr) => $body:expr) => {{
+            let list = {
+                let mut $f = PaletteFamily::new($t, $pool);
+                $body
+            };
+            let bitset = {
+                let mut $f = BitsetPalette::new($t, $pool);
+                $body
+            };
+            assert_eq!(list, bitset, "reference lists and bitset diverged");
+            list
+        }};
     }
 
     #[test]
     fn grow_links_into_p0() {
-        for kind in PaletteKind::ALL {
-            let mut f = PaletteBackend::with_kind(kind);
-            f.reset(2, 3);
+        on_both!(f = (2, 3) => {
             assert_eq!(f.pool_size(), 3);
             assert_eq!(f.num_levels(), 3);
             assert_eq!(f.len(0), 3);
             assert!(f.is_empty(1));
-            let c = f.grow();
-            assert_eq!(c, 3);
+            assert_eq!(f.grow(), 3);
             assert_eq!(f.len(0), 4);
-        }
+        });
     }
 
     #[test]
     fn pop_is_lifo_and_empties() {
-        for kind in PaletteKind::ALL {
-            let mut f = PaletteBackend::with_kind(kind);
-            f.reset(1, 2);
+        on_both!(f = (1, 2) => {
             let a = f.pop(0).unwrap();
             let b = f.pop(0).unwrap();
-            assert_eq!((a, b), (1, 0), "{kind}");
+            assert_eq!((a, b), (1, 0));
             assert_eq!(f.pop(0), None);
             assert!(f.is_empty(0));
-        }
+        });
     }
 
     #[test]
     fn move_between_levels() {
-        for kind in PaletteKind::ALL {
-            let mut f = PaletteBackend::with_kind(kind);
-            f.reset(3, 1);
+        on_both!(f = (3, 1) => {
             f.move_to(0, 3);
             assert_eq!(f.level_of(0), 3);
             assert!(f.is_empty(0));
@@ -1131,17 +649,15 @@ mod tests {
             f.move_to(0, 1);
             f.move_to(0, 0);
             assert_eq!(f.collect(0), vec![0]);
-        }
+        });
     }
 
     #[test]
     fn unlink_from_middle_keeps_order_consistent() {
-        for kind in PaletteKind::ALL {
-            let mut f = PaletteBackend::with_kind(kind);
-            f.reset(0, 5);
+        on_both!(f = (0, 5) => {
             // Recency order (front to back): [4, 3, 2, 1, 0].
             f.unlink(2);
-            assert_eq!(f.collect(0), vec![4, 3, 1, 0], "{kind}");
+            assert_eq!(f.collect(0), vec![4, 3, 1, 0]);
             assert!(!f.is_linked(2));
             assert_eq!(f.level_of(2), 0);
             f.unlink(4); // front removal
@@ -1151,89 +667,82 @@ mod tests {
             f.link(0, 2);
             assert_eq!(f.collect(0), vec![2, 3, 1]);
             assert_eq!(f.len(0), 3);
-        }
+        });
     }
 
     #[test]
     fn pop_where_skips_rejected_colors() {
-        for kind in PaletteKind::ALL {
-            let mut f = PaletteBackend::with_kind(kind);
-            f.reset(0, 6);
+        on_both!(f = (0, 6) => {
             // Front to back: [5, 4, 3, 2, 1, 0]; reject anything >= 3.
-            let got = f.pop_where(0, |c| c < 3);
-            assert_eq!(got, Some(2), "{kind}");
+            assert_eq!(f.pop_where(0, |c| c < 3), Some(2));
             assert_eq!(f.len(0), 5);
             // Nothing matches: level untouched.
             assert_eq!(f.pop_where(0, |c| c > 100), None);
             assert_eq!(f.len(0), 5);
-        }
+        });
     }
 
     #[test]
     fn pop_where_predicate_may_be_stateful() {
-        for kind in PaletteKind::ALL {
-            let mut f = PaletteBackend::with_kind(kind);
-            f.reset(0, 4);
+        on_both!(f = (0, 4) => {
             // FnMut scratch: accept the third candidate examined.
             let mut examined = 0u32;
             let got = f.pop_where(0, |_| {
                 examined += 1;
                 examined == 3
             });
-            assert_eq!(got, Some(1), "{kind}");
+            assert_eq!(got, Some(1));
             assert_eq!(examined, 3);
-        }
+        });
     }
 
     #[test]
     fn probe_count_tracks_pops_and_scans() {
-        for kind in PaletteKind::ALL {
-            let mut f = PaletteBackend::with_kind(kind);
-            f.reset(0, 6);
+        on_both!(f = (0, 6) => {
             assert_eq!(f.probe_count(), 0);
             f.pop(0); // 1 probe
-            assert_eq!(f.probe_count(), 1, "{kind}");
+            assert_eq!(f.probe_count(), 1);
             // Level is now [4, 3, 2, 1, 0]; scanning for c < 3 examines 4, 3, 2.
             f.pop_where(0, |c| c < 3);
-            assert_eq!(f.probe_count(), 4, "{kind}");
+            assert_eq!(f.probe_count(), 4);
             f.pop_where(0, |c| c > 100); // exhaustive scan of [4, 3, 1, 0]
-            assert_eq!(f.probe_count(), 8, "{kind}");
-        }
+            assert_eq!(f.probe_count(), 8);
+        });
     }
 
     #[test]
     fn word_scans_accumulate_and_reset() {
-        for kind in PaletteKind::ALL {
-            let mut f = PaletteBackend::with_kind(kind);
-            f.reset(1, 4);
+        on_both!(f = (1, 4) => {
             let fill = f.word_scan_count();
             f.pop(0);
             f.pop_where(0, |c| c == 0);
-            assert!(f.word_scan_count() > fill, "{kind}");
+            assert!(f.word_scan_count() > fill);
             f.reset(1, 4);
-            assert_eq!(f.word_scan_count(), fill, "{kind}: reset tallies differ");
+            assert_eq!(f.word_scan_count(), fill, "reset tallies differ");
+        });
+        // The bitset does strictly less word work than the lists on a
+        // pop-heavy sequence — the E17 counter claim, in miniature.
+        macro_rules! pop_heavy {
+            ($f:expr) => {{
+                let mut f = $f;
+                for _ in 0..64 {
+                    f.grow();
+                }
+                for _ in 0..64 {
+                    let c = f.pop(0).unwrap();
+                    f.link(2, c);
+                }
+                for c in 0..64 {
+                    f.move_to(c, 0);
+                }
+                for _ in 0..64 {
+                    f.pop(0).unwrap();
+                }
+                f.word_scan_count()
+            }};
         }
-        // The bitset backend does strictly less word work than the list on
-        // a pop-heavy sequence — the E17 claim, in miniature.
-        let run = |mut f: PaletteBackend| {
-            f.reset(2, 0);
-            for _ in 0..64 {
-                f.grow();
-            }
-            for _ in 0..64 {
-                let c = f.pop(0).unwrap();
-                f.link(2, c);
-            }
-            for c in 0..64 {
-                f.move_to(c, 0);
-            }
-            for _ in 0..64 {
-                f.pop(0).unwrap();
-            }
-            f.word_scan_count()
-        };
-        let list = run(PaletteBackend::with_kind(PaletteKind::List));
-        let bitset = run(PaletteBackend::with_kind(PaletteKind::Bitset));
+        let list = pop_heavy!(PaletteFamily::new(2, 0));
+        let bitset = pop_heavy!(BitsetPalette::new(2, 0));
         assert!(
             bitset * 10 <= list * 7,
             "bitset ({bitset}) should do at most 0.7x the word work of list ({list})"
@@ -1242,45 +751,46 @@ mod tests {
 
     #[test]
     fn reset_matches_fresh_backend() {
-        for kind in PaletteKind::ALL {
-            let mut f = PaletteBackend::with_kind(kind);
-            f.reset(2, 3);
+        on_both!(f = (2, 3) => {
             f.pop(0);
             f.move_to(0, 2);
             f.grow();
             f.reset(1, 2);
-            let mut fresh = PaletteBackend::with_kind(kind);
-            fresh.reset(1, 2);
-            assert_eq!(f.num_levels(), fresh.num_levels());
-            assert_eq!(f.pool_size(), fresh.pool_size());
-            assert_eq!(f.collect(0), fresh.collect(0));
+            assert_eq!(f.num_levels(), 2);
+            assert_eq!(f.pool_size(), 2);
+            assert_eq!(f.collect(0), vec![1, 0]);
+            assert!(f.is_empty(1));
             assert_eq!(f.probe_count(), 0);
-            assert_eq!(f.word_scan_count(), fresh.word_scan_count(), "{kind}");
-            // Same LIFO pop order as a fresh backend.
-            assert_eq!(f.pop(0), Some(1), "{kind}");
+            // Same LIFO pop order as a fresh structure.
+            assert_eq!(f.pop(0), Some(1));
             assert_eq!(f.pop(0), Some(0));
             assert_eq!(f.pop(0), None);
-        }
+        });
+        let mut warm = BitsetPalette::new(2, 3);
+        warm.pop(0);
+        warm.move_to(0, 2);
+        warm.reset(1, 2);
+        assert_eq!(
+            warm.word_scan_count(),
+            BitsetPalette::new(1, 2).word_scan_count()
+        );
     }
 
     #[test]
     fn parked_levels_track_without_linking() {
-        for kind in PaletteKind::ALL {
-            let mut f = PaletteBackend::with_kind(kind);
-            f.reset(2, 1);
+        on_both!(f = (2, 1) => {
             f.unlink(0);
             f.set_parked_level(0, 2);
             assert_eq!(f.level_of(0), 2);
             assert!(f.is_empty(2));
             f.link(2, 0);
             assert_eq!(f.len(2), 1);
-        }
+        });
     }
 
     #[test]
     fn pop_separated_matches_predicate_form() {
-        on_both(|f| {
-            f.reset(0, 12);
+        on_both!(f = (0, 12) => {
             let mut out = Vec::new();
             out.extend(f.pop_separated(0, 8, 3)); // forbid [6, 10]
             out.extend(f.pop_separated(0, 0, 4)); // forbid [0, 3] (saturated lo)
@@ -1289,9 +799,9 @@ mod tests {
             out.push(f.probe_count() as u32);
             out
         });
-        // And against the explicit predicate on the list reference.
-        let mut a = PaletteFamily::new(0, 12);
-        let mut b = PaletteFamily::new(0, 12);
+        // And against the explicit predicate on the bitset.
+        let mut a = BitsetPalette::new(0, 12);
+        let mut b = BitsetPalette::new(0, 12);
         assert_eq!(
             a.pop_separated(0, 8, 3),
             b.pop_where(0, |c| c.abs_diff(8) >= 3)
@@ -1299,24 +809,26 @@ mod tests {
         assert_eq!(a.probe_count(), b.probe_count());
     }
 
-    #[test]
-    fn collect_into_appends_for_level_loops() {
-        for kind in PaletteKind::ALL {
-            let mut f = PaletteBackend::with_kind(kind);
-            f.reset(2, 2);
-            f.move_to(0, 1);
-            f.move_to(1, 2);
-            let mut buf = vec![99];
-            for j in 0..3 {
-                f.collect_into(j, &mut buf);
-            }
-            assert_eq!(buf, vec![99, 0, 1], "{kind}");
+    /// Asserts identical full state: every level's link order, every
+    /// color's level and linked-ness, and the probe tally.
+    fn assert_same_state(list: &PaletteFamily, bitset: &BitsetPalette) {
+        assert_eq!(list.num_levels(), bitset.num_levels());
+        assert_eq!(list.pool_size(), bitset.pool_size());
+        assert_eq!(list.probe_count(), bitset.probe_count());
+        for j in 0..list.num_levels() as u32 {
+            assert_eq!(list.len(j), bitset.len(j));
+            assert_eq!(list.collect(j), bitset.collect(j), "level {j}");
+        }
+        for c in 0..list.pool_size() as u32 {
+            assert_eq!(list.level_of(c), bitset.level_of(c), "color {c}");
+            assert_eq!(list.is_linked(c), bitset.is_linked(c), "color {c}");
         }
     }
 
-    /// Deterministic random-op differential: both backends must agree on
-    /// every observable (returned colors, levels, lengths, link order,
-    /// probe counts) across a long mixed op sequence.
+    /// Deterministic random-op differential: the bitset and the reference
+    /// lists must agree on every observable (returned colors, levels,
+    /// lengths, link order, probe counts) across long mixed op sequences
+    /// covering every operation the solvers issue, resets included.
     #[test]
     fn backends_agree_on_random_op_sequences() {
         let mut state = 0x9e3779b97f4a7c15u64;
@@ -1326,94 +838,73 @@ mod tests {
             state ^= state << 17;
             state
         };
-        for round in 0..20 {
-            let t = (next() % 4) as u32;
-            let pool = (next() % 80) as usize;
-            let mut list = PaletteBackend::with_kind(PaletteKind::List);
-            let mut bitset = PaletteBackend::with_kind(PaletteKind::Bitset);
-            list.reset(t, pool);
-            bitset.reset(t, pool);
-            for _ in 0..400 {
-                let op = next() % 8;
-                let j = (next() % (t as u64 + 1)) as u32;
-                match op {
-                    0 => {
-                        assert_eq!(list.grow(), bitset.grow());
-                    }
-                    1 | 2 => {
-                        assert_eq!(list.pop(j), bitset.pop(j), "round {round}");
-                    }
-                    3 => {
-                        let m = (next() % 5) as u32 + 1;
-                        let a = list.pop_where(j, |c| c % 5 >= m);
-                        let b = bitset.pop_where(j, |c| c % 5 >= m);
-                        assert_eq!(a, b, "round {round}");
-                    }
-                    4 => {
-                        let parent = (next() % 40) as u32;
-                        let d1 = (next() % 6) as u32 + 1;
-                        let a = list.pop_separated(j, parent, d1);
-                        let b = bitset.pop_separated(j, parent, d1);
-                        assert_eq!(a, b, "round {round}");
-                    }
-                    5 => {
-                        if list.pool_size() > 0 {
-                            let c = (next() % list.pool_size() as u64) as u32;
-                            assert_eq!(list.is_linked(c), bitset.is_linked(c));
-                            if list.is_linked(c) {
-                                list.move_to(c, j);
-                                bitset.move_to(c, j);
-                            } else {
-                                list.set_parked_level(c, j);
-                                bitset.set_parked_level(c, j);
-                                list.link(j, c);
-                                bitset.link(j, c);
-                            }
+        let mut t = (next() % 4) as u32;
+        let pool = (next() % 80) as usize;
+        let mut list = PaletteFamily::new(t, pool);
+        let mut bitset = BitsetPalette::new(t, pool);
+        let mut resets = 0;
+        for step in 0..8000 {
+            let j = (next() % (t as u64 + 1)) as u32;
+            match next() % 9 {
+                0 => {
+                    assert_eq!(list.grow(), bitset.grow());
+                }
+                1 | 2 => {
+                    assert_eq!(list.pop(j), bitset.pop(j), "step {step}");
+                }
+                3 => {
+                    let m = (next() % 5) as u32 + 1;
+                    let a = list.pop_where(j, |c| c % 5 >= m);
+                    let b = bitset.pop_where(j, |c| c % 5 >= m);
+                    assert_eq!(a, b, "step {step}");
+                }
+                4 => {
+                    let parent = (next() % 40) as u32;
+                    let d1 = (next() % 6) as u32 + 1;
+                    let a = list.pop_separated(j, parent, d1);
+                    let b = bitset.pop_separated(j, parent, d1);
+                    assert_eq!(a, b, "step {step}");
+                }
+                5 => {
+                    if list.pool_size() > 0 {
+                        let c = (next() % list.pool_size() as u64) as u32;
+                        assert_eq!(list.is_linked(c), bitset.is_linked(c));
+                        if list.is_linked(c) {
+                            list.move_to(c, j);
+                            bitset.move_to(c, j);
+                        } else {
+                            list.set_parked_level(c, j);
+                            bitset.set_parked_level(c, j);
+                            list.link(j, c);
+                            bitset.link(j, c);
                         }
-                    }
-                    6 => {
-                        if list.pool_size() > 0 {
-                            let c = (next() % list.pool_size() as u64) as u32;
-                            if list.is_linked(c) {
-                                list.unlink(c);
-                                bitset.unlink(c);
-                            }
-                        }
-                    }
-                    _ => {
-                        assert_eq!(list.len(j), bitset.len(j));
-                        assert_eq!(list.collect(j), bitset.collect(j), "round {round}");
                     }
                 }
+                6 => {
+                    if list.pool_size() > 0 {
+                        let c = (next() % list.pool_size() as u64) as u32;
+                        if list.is_linked(c) {
+                            list.unlink(c);
+                            bitset.unlink(c);
+                        }
+                    }
+                }
+                7 if next() % 40 == 0 => {
+                    assert_same_state(&list, &bitset);
+                    t = (next() % 4) as u32;
+                    let pool = (next() % 80) as usize;
+                    list.reset(t, pool);
+                    bitset.reset(t, pool);
+                    resets += 1;
+                }
+                _ => assert_same_state(&list, &bitset),
             }
-            assert_eq!(list.probe_count(), bitset.probe_count(), "round {round}");
-            for j in 0..=t {
-                assert_eq!(list.collect(j), bitset.collect(j), "round {round}");
-            }
-            for c in 0..list.pool_size() as u32 {
-                assert_eq!(list.level_of(c), bitset.level_of(c));
-                assert_eq!(list.is_linked(c), bitset.is_linked(c));
-            }
+            assert_eq!(list.probe_count(), bitset.probe_count(), "step {step}");
         }
-    }
-
-    /// The dyn-safe trait surface drives both backends identically (the
-    /// criterion microbench relies on this).
-    #[test]
-    fn dyn_trait_object_drives_both_backends() {
-        let mut list = PaletteFamily::default();
-        let mut bitset = BitsetPalette::default();
-        let mut outs = Vec::new();
-        for p in [&mut list as &mut dyn PaletteOps, &mut bitset] {
-            p.reset(1, 3);
-            let mut seq = Vec::new();
-            seq.extend(p.pop(0));
-            seq.extend(p.pop_where_dyn(0, &mut |c| c == 0));
-            p.link(1, 0);
-            seq.push(p.len(1) as u32);
-            seq.push(p.probe_count() as u32);
-            outs.push(seq);
-        }
-        assert_eq!(outs[0], outs[1]);
+        assert!(
+            resets >= 3,
+            "the sequence must cover reset ({resets} resets)"
+        );
+        assert_same_state(&list, &bitset);
     }
 }

@@ -42,7 +42,9 @@ mod server;
 
 pub use http::status_for;
 pub use loadgen::{loadgen_trace_id, run_loadgen, LoadReport, LoadgenConfig, LOAD_ENVELOPE};
-pub use protocol::{LabelSpec, Workload, MAX_LINE_BYTES, MAX_REQUEST_N, PROTOCOL_VERSION};
+pub use protocol::{
+    LabelSpec, Workload, MAX_LINE_BYTES, MAX_REPLY_BYTES, MAX_REQUEST_N, PROTOCOL_VERSION,
+};
 pub use server::{Server, ServerConfig};
 
 use ssg_telemetry::Metrics;

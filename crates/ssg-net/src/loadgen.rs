@@ -18,7 +18,9 @@
 //! rest of its schedule is counted as timeouts — responses after an
 //! unanswered request would be misattributed otherwise.
 
-use crate::protocol::{parse_response, LabelSpec, LineEvent, LineReader, Response, MAX_LINE_BYTES};
+use crate::protocol::{
+    parse_response, LabelSpec, LineEvent, LineReader, Response, MAX_REPLY_BYTES,
+};
 use ssg_error::SsgError;
 use ssg_telemetry::hist::{HistSnapshot, Histogram};
 use ssg_telemetry::json::Json;
@@ -293,7 +295,7 @@ pub fn run_loadgen(cfg: &LoadgenConfig) -> Result<LoadReport, SsgError> {
         let budget = cfg.timeout;
         let recorder_r = cfg.metrics.recorder().cloned();
         handles.push(std::thread::spawn(move || {
-            let mut reader = LineReader::new(reader_stream, MAX_LINE_BYTES);
+            let mut reader = LineReader::new(reader_stream, MAX_REPLY_BYTES);
             let mut dead = false;
             while let Ok((scheduled, trace_id, span_id)) = sched_rx.recv() {
                 if dead {
@@ -411,7 +413,7 @@ fn drain_server(addr: &str) -> Result<(), SsgError> {
         .write_all(b"SHUTDOWN\n")
         .map_err(|e| SsgError::io(addr, &e))?;
     let reader_stream = stream.try_clone().map_err(|e| SsgError::io(addr, &e))?;
-    let mut reader = LineReader::new(reader_stream, MAX_LINE_BYTES);
+    let mut reader = LineReader::new(reader_stream, MAX_REPLY_BYTES);
     match reader.next_line() {
         Ok(LineEvent::Line(line)) if line == "BYE" => Ok(()),
         Ok(other) => Err(SsgError::parse(

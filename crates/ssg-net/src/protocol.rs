@@ -36,13 +36,22 @@ pub const PROTOCOL_VERSION: &str = "ssg-proto/1";
 /// Upper bound on one *request* line in bytes, excluding the terminating
 /// newline. Longer request lines are discarded through their newline and
 /// answered with `ERR parse ...` — the connection survives, and server
-/// memory stays bounded. Response lines (`OK` with `n` labels) are exempt.
+/// memory stays bounded. Response lines (`OK` with `n` labels) are exempt;
+/// clients read them under [`MAX_REPLY_BYTES`].
 pub const MAX_LINE_BYTES: usize = 64 * 1024;
 
 /// Upper bound on the `n` operand of a `LABEL` request: one request may
 /// ask for at most this many stations, keeping per-request server work and
 /// reply size bounded.
 pub const MAX_REQUEST_N: usize = 65_536;
+
+/// Upper bound on one *reply* line in bytes, excluding the terminating
+/// newline: the longest `OK` a legal request can produce — a `u32` span
+/// and [`MAX_REQUEST_N`] `u32` labels of at most ten digits, each after a
+/// space, then a ` trace=` echo of sixteen hex digits. Every other reply
+/// is shorter.
+pub const MAX_REPLY_BYTES: usize =
+    "OK ".len() + 10 + MAX_REQUEST_N * (1 + 10) + " trace=".len() + 16;
 
 /// The synthetic workloads a `LABEL` request can name. These are the same
 /// generators the `ssg batch` request files use; the wire protocol

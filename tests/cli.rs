@@ -94,6 +94,14 @@ fn usage_errors_exit_nonzero() {
         .output()
         .unwrap();
     assert!(!out.status.success());
+    // The retired palette switch is an unknown flag: usage exit code.
+    let out = ssg()
+        .args(["color", path.to_str().unwrap(), "2,1", "--palette", "list"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(err.contains("unknown flag '--palette'"), "{err}");
 }
 
 #[test]
