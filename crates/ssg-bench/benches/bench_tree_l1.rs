@@ -10,7 +10,7 @@ use ssg_tree::RootedTree;
 fn bench_scaling_n(c: &mut Criterion) {
     let mut group = c.benchmark_group("E4/tree_l1_vs_n");
     group.sample_size(10);
-    for n in [1_000usize, 4_000, 16_000, 64_000] {
+    for n in [4_000usize, 64_000, 512_000] {
         let tr = tree_workload(n, 4, 0xE4);
         let t = 4u32;
         group.throughput(Throughput::Elements(n as u64 * t as u64));

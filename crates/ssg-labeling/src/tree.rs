@@ -1,8 +1,9 @@
 //! The paper's tree algorithms:
 //!
 //! * [`l1_coloring`] — `Tree-L(1,...,1)-coloring` (§4.1, Figure 5,
-//!   Theorem 4): optimal, `O(nt)`-flavored (our descendant sets are `O(1)`
-//!   BFS ranges plus an `O(log n)` locate, see `ssg-tree`).
+//!   Theorem 4): optimal, in `O(nt^2)`: every descendant set is a BFS
+//!   range reached in `O(t)` steps (see `ssg-tree`), and `λ*` takes
+//!   `O(t^2)` such steps per vertex.
 //! * [`approx_delta1_coloring`] — `Tree-L(δ1,1,...,1)-coloring` (§4.2,
 //!   Theorem 5): span at most `λ*_{T,t} + 2(δ1-1)`, a 3-approximation, in
 //!   `O(n(t + δ1))`.

@@ -206,10 +206,31 @@ fn metrics_endpoint_matches_the_cli_renderer() {
     let text = String::from_utf8_lossy(&raw);
     let (_, body) = text.split_once("\r\n\r\n").unwrap();
     // Rendered after the scrape, so the scrape's own counter bump is
-    // already visible in both.
+    // already visible in both. The uptime gauge keeps ticking between the
+    // two renders, so its sample line is compared by value, not by bytes.
     let direct = ssg_net::prometheus_text(server.metrics());
-    assert_eq!(body, direct);
+    let (scraped_up, scraped_rest) = split_uptime(body);
+    let (direct_up, direct_rest) = split_uptime(&direct);
+    assert_eq!(scraped_rest, direct_rest);
+    assert!(
+        scraped_up <= direct_up,
+        "uptime went backwards: {scraped_up} > {direct_up}"
+    );
     server.shutdown();
+}
+
+/// Splits a Prometheus body into its `ssg_uptime_seconds` sample value
+/// and every other line, panicking when the sample is missing.
+fn split_uptime(body: &str) -> (f64, Vec<&str>) {
+    let mut uptime = None;
+    let mut rest = Vec::new();
+    for line in body.split_inclusive('\n') {
+        match line.strip_prefix("ssg_uptime_seconds ") {
+            Some(value) => uptime = Some(value.trim().parse().unwrap()),
+            None => rest.push(line),
+        }
+    }
+    (uptime.expect("ssg_uptime_seconds sample present"), rest)
 }
 
 #[test]

@@ -2,14 +2,12 @@
 //! `x`, the lists `D_i(x)` of descendants at distance exactly `i`, for
 //! `0 <= i <= t`.
 //!
-//! Two implementations are provided:
-//!
-//! * [`explore_descendents`] — a faithful rendering of Figure 3 (postorder
-//!   accumulation of children's `D_{i-1}` lists), materializing all lists in
-//!   `O(nt)` time and space. Used as an oracle and for small inputs.
-//! * [`RootedTree::descendant_range`] (in `rooted`) — the `O(1)`-per-set
-//!   range view exploiting BFS-canonical numbering, used by the fast
-//!   algorithms. The two are differentially tested against each other.
+//! [`explore_descendents`] is a faithful rendering of Figure 3 (postorder
+//! accumulation of children's `D_{i-1}` lists), materializing all lists in
+//! `O(nt)` time and space. The fast algorithms never build these lists:
+//! they use [`RootedTree::descendant_range`], which reaches `D_i(x)` in `i`
+//! constant-time steps over BFS-canonical numbering. The lists serve as the
+//! reference the ranges are tested against.
 
 use crate::rooted::RootedTree;
 use ssg_graph::Vertex;
@@ -34,11 +32,6 @@ impl DescendantLists {
         &self.lists[x as usize][i as usize]
     }
 
-    /// The truncation depth the lists were computed for.
-    pub fn depth(&self) -> u32 {
-        self.t
-    }
-
     /// `|D_i(x)|`.
     pub fn count(&self, x: Vertex, i: u32) -> usize {
         self.get(x, i).len()
@@ -61,8 +54,7 @@ pub fn explore_descendents(tree: &RootedTree, t: u32) -> DescendantLists {
     for x in (0..n as u32).rev() {
         // "for every child v of x: for i := 1 to t: D_i(x) ∪= D_{i-1}(v)".
         // Children have larger ids, hence are already complete.
-        for ci in 0..tree.children(x).len() {
-            let v = tree.children(x)[ci];
+        for v in tree.children(x) {
             for i in 1..=t {
                 // Children are visited left to right and their lists are
                 // sorted, and all of child c's descendants precede child
@@ -75,25 +67,6 @@ pub fn explore_descendents(tree: &RootedTree, t: u32) -> DescendantLists {
         }
     }
     DescendantLists { lists, t }
-}
-
-/// Figure 3 variant computing only the cardinalities `|D_i(x)|`, as the
-/// paper notes ("simply by substituting the last statement"). `O(nt)`.
-pub fn explore_descendent_counts(tree: &RootedTree, t: u32) -> Vec<Vec<u32>> {
-    let n = tree.len();
-    let mut counts: Vec<Vec<u32>> = vec![vec![0; t as usize + 1]; n];
-    for row in counts.iter_mut() {
-        row[0] = 1;
-    }
-    for x in (0..n as u32).rev() {
-        for ci in 0..tree.children(x).len() {
-            let v = tree.children(x)[ci] as usize;
-            for i in 1..=t as usize {
-                counts[x as usize][i] += counts[v][i - 1];
-            }
-        }
-    }
-    counts
 }
 
 #[cfg(test)]
@@ -129,29 +102,20 @@ mod tests {
     #[test]
     fn lists_agree_with_descendant_ranges() {
         let mut rng = StdRng::seed_from_u64(6);
-        let g = generators::random_tree(120, &mut rng);
-        let tr = tree_of(&g);
-        let t = 6;
-        let d = explore_descendents(&tr, t);
-        for x in 0..120 as Vertex {
-            for i in 0..=t {
-                let range: Vec<Vertex> = tr.descendant_range(x, i).collect();
-                assert_eq!(d.get(x, i), range.as_slice(), "x={x} i={i}");
-            }
-        }
-    }
-
-    #[test]
-    fn counts_agree_with_lists() {
-        let mut rng = StdRng::seed_from_u64(8);
-        let g = generators::random_tree(80, &mut rng);
-        let tr = tree_of(&g);
-        let t = 5;
-        let d = explore_descendents(&tr, t);
-        let c = explore_descendent_counts(&tr, t);
-        for x in 0..80u32 {
-            for i in 0..=t {
-                assert_eq!(c[x as usize][i as usize] as usize, d.count(x, i));
+        // The 70-ary tree has levels thousands of vertices wide, where a
+        // random tree of this size has narrow ones.
+        for g in [
+            generators::random_tree(120, &mut rng),
+            generators::kary_tree(6_000, 70),
+        ] {
+            let tr = tree_of(&g);
+            let t = 6;
+            let d = explore_descendents(&tr, t);
+            for x in 0..tr.len() as Vertex {
+                for i in 0..=t {
+                    let range: Vec<Vertex> = tr.descendant_range(x, i).collect();
+                    assert_eq!(d.get(x, i), range.as_slice(), "x={x} i={i}");
+                }
             }
         }
     }

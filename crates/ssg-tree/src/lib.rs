@@ -14,6 +14,6 @@ pub mod descendants;
 pub mod neighborhood;
 pub mod rooted;
 
-pub use descendants::{explore_descendent_counts, explore_descendents, DescendantLists};
+pub use descendants::{explore_descendents, DescendantLists};
 pub use neighborhood::{f_t_size, for_each_in_up_neighborhood, tree_lambda_star, up_neighborhood};
-pub use rooted::{RootedTree, TreeError, NO_PARENT};
+pub use rooted::{RootedTree, TreeError};

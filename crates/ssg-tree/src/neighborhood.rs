@@ -28,11 +28,47 @@
 
 use crate::rooted::RootedTree;
 use ssg_graph::Vertex;
+use std::ops::Range;
+
+/// Calls `visit` once per maximal set of `Up-Neighborhood(y, uplevel)` for
+/// distance budget `t` (see the module docs), each a descendant range of an
+/// ancestor of `y`. The ranges are pairwise disjoint; their union is the
+/// neighborhood, plus `y` itself when some `D_i(anc_i(y))` is among them.
+/// `O(t^2)`.
+fn for_each_up_range(
+    tree: &RootedTree,
+    y: Vertex,
+    uplevel: u32,
+    t: u32,
+    mut visit: impl FnMut(Range<Vertex>),
+) {
+    assert!(t >= 1, "distance budget t must be >= 1");
+    let ell = tree.level(y);
+    let mut anc = y;
+    for i in 1..=uplevel.min(ell) {
+        anc = tree.parent(anc).expect("i <= level(y) guarantees a parent");
+        if i == ell && i < t {
+            // Root reached early: full fan D_j(root), j <= min(i, t - i).
+            for j in 0..=i.min(t - i) {
+                visit(tree.descendant_range(anc, j));
+            }
+        } else {
+            // family i + j = t: j = t - i, requires j <= i and j >= 0.
+            if 2 * i >= t && i <= t {
+                visit(tree.descendant_range(anc, t - i));
+            }
+            // family i + j = t - 1: j = t - 1 - i, requires j <= i and j >= 0.
+            if 2 * i + 1 >= t && i < t {
+                visit(tree.descendant_range(anc, t - 1 - i));
+            }
+        }
+    }
+}
 
 /// Visits every vertex of `Up-Neighborhood(y, uplevel)` for distance budget
 /// `t`, invoking `visit` once per vertex (never for `y` itself).
 ///
-/// `O(t log n + |F|)` using descendant ranges.
+/// `O(t^2 + |F|)` using descendant ranges.
 pub fn for_each_in_up_neighborhood(
     tree: &RootedTree,
     y: Vertex,
@@ -40,35 +76,9 @@ pub fn for_each_in_up_neighborhood(
     t: u32,
     mut visit: impl FnMut(Vertex),
 ) {
-    assert!(t >= 1, "distance budget t must be >= 1");
-    let ell = tree.level(y);
-    let up = uplevel.min(ell);
-    let mut anc = y;
-    for i in 1..=up {
-        anc = tree.parent(anc).expect("i <= level(y) guarantees a parent");
-        let mut emit_range = |range: std::ops::Range<Vertex>| {
-            for v in range {
-                if v != y {
-                    visit(v);
-                }
-            }
-        };
-        if i == ell && i < t {
-            // Root reached early: full fan D_j(root), j <= min(i, t - i).
-            for j in 0..=i.min(t - i) {
-                emit_range(tree.descendant_range(anc, j));
-            }
-        } else {
-            // family i + j = t: j = t - i, requires j <= i and j >= 0.
-            if 2 * i >= t && i <= t {
-                emit_range(tree.descendant_range(anc, t - i));
-            }
-            // family i + j = t - 1: j = t - 1 - i, requires j <= i and j >= 0.
-            if 2 * i + 1 >= t && i < t {
-                emit_range(tree.descendant_range(anc, t - 1 - i));
-            }
-        }
-    }
+    for_each_up_range(tree, y, uplevel, t, |range| {
+        range.filter(|&v| v != y).for_each(&mut visit);
+    });
 }
 
 /// `Up-Neighborhood(y, uplevel)` materialized as a vector (paper Figure 4).
@@ -79,43 +89,17 @@ pub fn up_neighborhood(tree: &RootedTree, y: Vertex, uplevel: u32, t: u32) -> Ve
 }
 
 /// `|F_t(y)|` — the size of the full up-neighborhood of `y`, computed from
-/// range lengths only in `O(t log n)`.
+/// range lengths only in `O(t^2)`.
 pub fn f_t_size(tree: &RootedTree, y: Vertex, t: u32) -> usize {
-    assert!(t >= 1);
-    let ell = tree.level(y);
-    let up = t.min(ell);
-    let mut anc = y;
     let mut total = 0usize;
-    let mut contains_y = false;
-    for i in 1..=up {
-        anc = tree.parent(anc).expect("i <= level(y)");
-        if i == ell && i < t {
-            for j in 0..=i.min(t - i) {
-                total += tree.descendant_count(anc, j);
-                if j == i {
-                    contains_y = true;
-                }
-            }
-        } else {
-            if 2 * i >= t && i <= t {
-                total += tree.descendant_count(anc, t - i);
-                if t - i == i {
-                    contains_y = true;
-                }
-            }
-            if 2 * i + 1 >= t && i < t {
-                total += tree.descendant_count(anc, t - 1 - i);
-                if t - 1 - i == i {
-                    contains_y = true;
-                }
-            }
-        }
-    }
-    total - usize::from(contains_y)
+    for_each_up_range(tree, y, t, t, |range| {
+        total += range.len() - usize::from(range.contains(&y));
+    });
+    total
 }
 
 /// The optimal `L(1,...,1)` span of the tree:
-/// `λ*_{T,t} = max_y |F_t(y)|` (§4.1). `O(n t log n)`.
+/// `λ*_{T,t} = max_y |F_t(y)|` (§4.1). `O(n t^2)`.
 ///
 /// `F_t(y) ∪ {y}` is a clique of `A_{T_{l(y)},t}` because `y` is
 /// `t`-simplicial in `T_{l(y)}` (Lemma 5), so this is a lower bound; the

@@ -8,14 +8,16 @@
 //!
 //! * vertex `0` is the root;
 //! * levels are contiguous vertex ranges (`level_range`);
-//! * within a level, the left-to-right order agrees with the DFS entry order
-//!   (children of earlier parents come first; siblings keep their order).
+//! * children of earlier parents come first and siblings are consecutive,
+//!   so the children of any vertex range form a vertex range, and so does
+//!   every descendant set `D_i(x)` (`descendant_range`).
 
 use ssg_graph::{Graph, Vertex};
 use std::fmt;
+use std::ops::Range;
 
 /// Sentinel parent of the root.
-pub const NO_PARENT: u32 = u32::MAX;
+const NO_PARENT: u32 = u32::MAX;
 
 /// Errors when interpreting a graph as a tree.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -54,21 +56,25 @@ impl fmt::Display for TreeError {
 impl std::error::Error for TreeError {}
 
 /// A rooted ordered tree in BFS-canonical numbering.
+///
+/// BFS numbering puts the children of `v` right after the children of
+/// `v - 1`, so the children of a vertex *range* `[a, b)` are the range
+/// `[child_off[a] + 1, child_off[b] + 1)`: every descendant set `D_i(x)` is
+/// `i` steps of that rule from `[x, x + 1)`, with no search and no child
+/// list.
 #[derive(Clone, PartialEq, Eq)]
 pub struct RootedTree {
     /// Parent of each vertex (`NO_PARENT` for the root, which is vertex 0).
     parent: Vec<u32>,
     /// Level (depth) of each vertex; the root has level 0.
     level: Vec<u32>,
-    /// Children CSR: `child_off[v]..child_off[v+1]` indexes `child_buf`.
+    /// `child_off[v]` counts the children of vertices `< v`, so the
+    /// children of `v` are `child_off[v] + 1..child_off[v + 1] + 1`;
+    /// `child_off.len() = n + 1`.
     child_off: Vec<u32>,
-    child_buf: Vec<Vertex>,
     /// `level_start[l]..level_start[l+1]` is the contiguous vertex range of
     /// level `l`; `level_start.len() = height + 2`.
     level_start: Vec<u32>,
-    /// DFS entry/exit times (preorder, children in BFS-canonical order).
-    tin: Vec<u32>,
-    tout: Vec<u32>,
     /// Mapping BFS-canonical vertex -> original graph vertex.
     original: Vec<Vertex>,
 }
@@ -108,123 +114,47 @@ impl RootedTree {
             });
         }
         // BFS from root over the original graph; neighbors are sorted in the
-        // CSR, so children order = original id order.
-        let mut order: Vec<Vertex> = Vec::with_capacity(n); // BFS order, original ids
-        let mut parent_orig = vec![NO_PARENT; n];
+        // CSR, so children order = original id order. The new id of a
+        // vertex is its position in BFS order, so the children of `head`
+        // are exactly the ids appended while `head` is scanned.
+        let mut original: Vec<Vertex> = Vec::with_capacity(n);
         let mut seen = vec![false; n];
+        let mut parent = Vec::with_capacity(n);
+        let mut level = Vec::with_capacity(n);
+        let mut child_off = Vec::with_capacity(n + 1);
         seen[root as usize] = true;
-        order.push(root);
+        original.push(root);
+        parent.push(NO_PARENT);
+        level.push(0);
         let mut head = 0usize;
-        while head < order.len() {
-            let v = order[head];
-            head += 1;
-            for &w in g.neighbors(v) {
+        while head < original.len() {
+            child_off.push(original.len() as u32 - 1);
+            for &w in g.neighbors(original[head]) {
                 if !seen[w as usize] {
                     seen[w as usize] = true;
-                    parent_orig[w as usize] = v;
-                    order.push(w);
+                    original.push(w);
+                    parent.push(head as u32);
+                    level.push(level[head] + 1);
                 }
             }
+            head += 1;
         }
-        if order.len() != n {
+        if original.len() != n {
             return Err(TreeError::Disconnected);
         }
-        // new id = position in BFS order.
-        let mut new_id = vec![0u32; n];
-        for (i, &v) in order.iter().enumerate() {
-            new_id[v as usize] = i as u32;
-        }
-        let mut parent = vec![NO_PARENT; n];
-        let mut level = vec![0u32; n];
-        for (i, &v) in order.iter().enumerate() {
-            let p = parent_orig[v as usize];
-            if p != NO_PARENT {
-                let np = new_id[p as usize];
-                parent[i] = np;
-                level[i] = level[np as usize] + 1;
-            }
-        }
-        Self::from_bfs_parents(parent, level, order)
-    }
-
-    /// Builds directly from a parent array already in BFS-canonical order:
-    /// `parent[0] == NO_PARENT`, `parent[v] < v`, and levels nondecreasing
-    /// in `v`. `original[v]` records an external id for each vertex (use
-    /// `0..n` when there is none). Panics if the invariants fail.
-    pub fn from_bfs_parents(
-        parent: Vec<u32>,
-        level: Vec<u32>,
-        original: Vec<Vertex>,
-    ) -> Result<Self, TreeError> {
-        let n = parent.len();
-        assert!(n >= 1, "tree needs at least one vertex");
-        assert_eq!(level.len(), n);
-        assert_eq!(original.len(), n);
-        assert_eq!(parent[0], NO_PARENT, "vertex 0 must be the root");
-        for v in 1..n {
-            assert!(
-                parent[v] < v as u32,
-                "parent must precede child in BFS order"
-            );
-            assert_eq!(level[v], level[parent[v] as usize] + 1, "level mismatch");
-            assert!(level[v] >= level[v - 1], "levels must be nondecreasing");
-        }
-        // Children CSR (children appear in increasing id order automatically).
-        let mut cnt = vec![0u32; n];
-        for v in 1..n {
-            cnt[parent[v] as usize] += 1;
-        }
-        let mut child_off = Vec::with_capacity(n + 1);
-        let mut acc = 0u32;
-        child_off.push(0);
-        for &c in &cnt {
-            acc += c;
-            child_off.push(acc);
-        }
-        let mut cursor: Vec<u32> = child_off[..n].to_vec();
-        let mut child_buf = vec![0 as Vertex; n - 1];
-        for v in 1..n as u32 {
-            let p = parent[v as usize] as usize;
-            child_buf[cursor[p] as usize] = v;
-            cursor[p] += 1;
-        }
-        // Level ranges.
-        let height = level[n - 1];
-        let mut level_start = vec![0u32; height as usize + 2];
-        for &l in &level {
-            level_start[l as usize + 1] += 1;
-        }
-        for i in 1..level_start.len() {
-            level_start[i] += level_start[i - 1];
-        }
-        // DFS entry/exit (iterative, children in CSR order).
-        let mut tin = vec![0u32; n];
-        let mut tout = vec![0u32; n];
-        let mut timer = 0u32;
-        // Stack of (vertex, next child index).
-        let mut stack: Vec<(u32, u32)> = vec![(0, child_off[0])];
-        tin[0] = timer;
-        timer += 1;
-        while let Some(&mut (v, ref mut ci)) = stack.last_mut() {
-            if *ci < child_off[v as usize + 1] {
-                let c = child_buf[*ci as usize];
-                *ci += 1;
-                tin[c as usize] = timer;
-                timer += 1;
-                stack.push((c, child_off[c as usize]));
-            } else {
-                tout[v as usize] = timer;
-                stack.pop();
-            }
+        child_off.push(n as u32 - 1);
+        // Level l + 1 is the children of level l.
+        let mut level_start = vec![0u32, 1];
+        let mut end = 1u32;
+        while end < n as u32 {
+            end = child_off[end as usize] + 1;
+            level_start.push(end);
         }
         Ok(RootedTree {
             parent,
             level,
             child_off,
-            child_buf,
             level_start,
-            tin,
-            tout,
             original,
         })
     }
@@ -260,33 +190,15 @@ impl RootedTree {
         self.level[v as usize]
     }
 
-    /// Children of `v` in left-to-right order, as a contiguous slice of the
-    /// children CSR (`child_off`/`child_buf` mirror the flat layout of
-    /// `ssg_graph::Graph`).
+    /// Children of `v` in left-to-right order, a contiguous vertex range.
     #[inline]
-    pub fn children(&self, v: Vertex) -> &[Vertex] {
-        let s = self.child_off[v as usize] as usize;
-        let e = self.child_off[v as usize + 1] as usize;
-        &self.child_buf[s..e]
-    }
-
-    /// Sum of all backing buffer capacities, in elements — the tree-side
-    /// counterpart of `Graph::capacity_footprint`, used by churn tests to
-    /// certify that holding a tree across epochs allocates nothing new.
-    pub fn capacity_footprint(&self) -> usize {
-        self.parent.capacity()
-            + self.level.capacity()
-            + self.child_off.capacity()
-            + self.child_buf.capacity()
-            + self.level_start.capacity()
-            + self.tin.capacity()
-            + self.tout.capacity()
-            + self.original.capacity()
+    pub fn children(&self, v: Vertex) -> Range<Vertex> {
+        self.descendant_range(v, 1)
     }
 
     /// The contiguous vertex range of level `l` (empty when `l > height`).
     #[inline]
-    pub fn level_range(&self, l: u32) -> std::ops::Range<Vertex> {
+    pub fn level_range(&self, l: u32) -> Range<Vertex> {
         if l as usize + 1 >= self.level_start.len() {
             return 0..0;
         }
@@ -312,15 +224,16 @@ impl RootedTree {
         Some(a)
     }
 
-    /// Whether `a` is an ancestor of (or equal to) `v`.
-    #[inline]
+    /// Whether `a` is an ancestor of (or equal to) `v`, by walking up from
+    /// `v`. `O(level(v) - level(a))`.
     pub fn is_ancestor(&self, a: Vertex, v: Vertex) -> bool {
-        self.tin[a as usize] <= self.tin[v as usize] && self.tin[v as usize] < self.tout[a as usize]
+        self.level(v)
+            .checked_sub(self.level(a))
+            .is_some_and(|i| self.ancestor(v, i) == Some(a))
     }
 
     /// Lowest common ancestor of `u` and `v`. `O(height)` by level-aligned
-    /// parent walking (adequate for the paper's O(t)-bounded uses; callers
-    /// needing many far LCAs should cap with [`RootedTree::lca_capped`]).
+    /// parent walking (adequate for the paper's O(t)-bounded uses).
     pub fn lca(&self, mut u: Vertex, mut v: Vertex) -> Vertex {
         while self.level(u) > self.level(v) {
             u = self.parent[u as usize];
@@ -335,37 +248,6 @@ impl RootedTree {
         u
     }
 
-    /// Like [`RootedTree::lca`] but gives up after walking `cap` steps up
-    /// from each vertex, returning `None` when the LCA is farther than that.
-    /// Used by the coloring algorithm, which only needs
-    /// `min(t, l - l(lca) - 1)`.
-    pub fn lca_capped(&self, mut u: Vertex, mut v: Vertex, cap: u32) -> Option<Vertex> {
-        let mut steps = 0u32;
-        while self.level(u) > self.level(v) {
-            if steps == cap {
-                return None;
-            }
-            u = self.parent[u as usize];
-            steps += 1;
-        }
-        while self.level(v) > self.level(u) {
-            if steps == cap {
-                return None;
-            }
-            v = self.parent[v as usize];
-            steps += 1;
-        }
-        while u != v {
-            if steps == cap {
-                return None;
-            }
-            u = self.parent[u as usize];
-            v = self.parent[v as usize];
-            steps += 1;
-        }
-        Some(u)
-    }
-
     /// Tree distance between two vertices via the LCA.
     pub fn distance(&self, u: Vertex, v: Vertex) -> u32 {
         let a = self.lca(u, v);
@@ -373,34 +255,19 @@ impl RootedTree {
     }
 
     /// The vertices of the subtree of `x` at level `level(x) + i`, i.e. the
-    /// paper's `D_i(x)`, as a contiguous canonical-vertex range. `O(log n)`
-    /// by binary search within the level range.
-    pub fn descendant_range(&self, x: Vertex, i: u32) -> std::ops::Range<Vertex> {
-        if i == 0 {
-            return x..x + 1;
+    /// paper's `D_i(x)`, as a contiguous canonical-vertex range (empty when
+    /// the subtree is shallower). `O(i)`: each step replaces a range by the
+    /// range of its children.
+    pub fn descendant_range(&self, x: Vertex, i: u32) -> Range<Vertex> {
+        let (mut a, mut b) = (x, x + 1);
+        for _ in 0..i {
+            if a == b {
+                break;
+            }
+            a = self.child_off[a as usize] + 1;
+            b = self.child_off[b as usize] + 1;
         }
-        let l = self.level(x) + i;
-        let range = self.level_range(l);
-        if range.is_empty() {
-            return 0..0;
-        }
-        // Vertices in a level are ordered by tin; descendants of x are those
-        // with tin in [tin(x), tout(x)).
-        let (lo, hi) = (self.tin[x as usize], self.tout[x as usize]);
-        let base = range.start;
-        let slice_len = (range.end - range.start) as usize;
-        let first =
-            base + partition_point(slice_len, |k| self.tin[(base + k as u32) as usize] < lo) as u32;
-        let last =
-            base + partition_point(slice_len, |k| self.tin[(base + k as u32) as usize] < hi) as u32;
-        first..last
-    }
-
-    /// `|D_i(x)|` without materializing the range contents.
-    #[inline]
-    pub fn descendant_count(&self, x: Vertex, i: u32) -> usize {
-        let r = self.descendant_range(x, i);
-        (r.end - r.start) as usize
+        a..b
     }
 
     /// Rebuilds the underlying undirected graph (in canonical numbering).
@@ -410,20 +277,6 @@ impl RootedTree {
             .collect();
         Graph::from_edges(self.len(), &edges).expect("tree edges are valid")
     }
-}
-
-/// `slice::partition_point` over an implicit slice of length `len`.
-fn partition_point(len: usize, pred: impl Fn(usize) -> bool) -> usize {
-    let (mut lo, mut hi) = (0usize, len);
-    while lo < hi {
-        let mid = (lo + hi) / 2;
-        if pred(mid) {
-            lo = mid + 1;
-        } else {
-            hi = mid;
-        }
-    }
-    lo
 }
 
 #[cfg(test)]
@@ -520,28 +373,6 @@ mod tests {
     }
 
     #[test]
-    fn lca_capped_agrees_or_gives_up() {
-        let g = generators::kary_tree(31, 2);
-        let t = canonical(&g, 0);
-        for u in 0..31 as Vertex {
-            for v in 0..31 as Vertex {
-                let full = t.lca(u, v);
-                let walk = t.level(u) + t.level(v) - 2 * t.level(full);
-                let steps_needed = (t.level(u) - t.level(full)).max(t.level(v) - t.level(full));
-                let _ = walk;
-                for cap in 0..6u32 {
-                    let got = t.lca_capped(u, v, cap);
-                    if cap >= steps_needed {
-                        assert_eq!(got, Some(full), "u={u} v={v} cap={cap}");
-                    } else {
-                        assert_eq!(got, None, "u={u} v={v} cap={cap}");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn tree_distance_matches_graph_bfs() {
         let mut rng = StdRng::seed_from_u64(7);
         let g = generators::random_tree(40, &mut rng);
@@ -574,12 +405,13 @@ mod tests {
     }
 
     #[test]
-    fn subtree_check_via_tin_tout() {
+    fn is_ancestor_walks_up_to_the_subtree_root() {
         let g = generators::kary_tree(15, 2);
         let t = canonical(&g, 0);
         assert!(t.is_ancestor(0, 14));
         assert!(t.is_ancestor(1, 3));
         assert!(!t.is_ancestor(2, 3));
         assert!(t.is_ancestor(5, 5));
+        assert!(!t.is_ancestor(3, 1), "a deeper vertex is no ancestor");
     }
 }

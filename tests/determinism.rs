@@ -89,7 +89,7 @@ fn fnv1a64(colors: &[u32]) -> u64 {
 /// event order) shows up here even when every span stays put.
 #[test]
 fn labelings_match_pinned_digests() {
-    use strongly_simplicial::graph::generators::random_bounded_degree_tree;
+    use strongly_simplicial::graph::generators::{self, random_bounded_degree_tree};
     use strongly_simplicial::labeling::Workspace;
     use strongly_simplicial::telemetry::Metrics;
 
@@ -167,4 +167,59 @@ fn labelings_match_pinned_digests() {
             "seed {seed}: labelings drifted, got {got:#018x?}"
         );
     }
+
+    // A4 and A5 (δ1 = 4) across tree shapes and radii: deep (path), wide
+    // (3-ary), caterpillar and broom (a long handle ending in a wide
+    // head), at t = 1, 4, 8, so every group depth h = t/2 is exercised.
+    const PINNED_SHAPES: [(&str, u32, [u64; 2]); 12] = [
+        ("path", 1, [0xbe848c0323ddef05, 0x0d2327db70ebe645]),
+        ("path", 4, [0x57688d2f29825c65, 0xd5d206588fb2e9e5]),
+        ("path", 8, [0x3da8d908ded7de7e, 0xfa1535d9ce85d596]),
+        ("3ary", 1, [0x0a73b3ff9159b2e5, 0x3cdfc7cd26daf5c5]),
+        ("3ary", 4, [0x48934e6be5a17bf2, 0xecd6829038c9cd6b]),
+        ("3ary", 8, [0x39a3af4160d27148, 0xcdfbf7e093692fe9]),
+        ("caterpillar", 1, [0x951bb21169093305, 0x677fc0148598f645]),
+        ("caterpillar", 4, [0xea834e74451c76da, 0x0e3daca5ca3cdba6]),
+        ("caterpillar", 8, [0x81fbaceaee46537c, 0xf4bc3c5dea5fc52a]),
+        ("broom", 1, [0x46033f335573e905, 0x2b1df49c3743ce45]),
+        ("broom", 4, [0x2b6e3b7fd14af9f1, 0x9190967f9271c45d]),
+        ("broom", 8, [0x5b34fc06b72dd330, 0x5e3862a0f0ea92fd]),
+    ];
+    let handle = N as Vertex / 3;
+    let mut broom: Vec<(Vertex, Vertex)> = (1..handle).map(|v| (v - 1, v)).collect();
+    broom.extend((handle..N as Vertex).map(|leaf| (handle - 1, leaf)));
+    let shapes = [
+        ("path", generators::path(N)),
+        ("3ary", generators::kary_tree(N, 3)),
+        ("caterpillar", generators::caterpillar(N / 5, 4)),
+        ("broom", Graph::from_edges(N, &broom).unwrap()),
+    ];
+    let mut got = Vec::new();
+    for (shape, g) in &shapes {
+        let tr = RootedTree::bfs_canonical(g, 0).unwrap();
+        for t in [1, 4, 8] {
+            let ones = SeparationVector::all_ones(t);
+            let d1_then_one = SeparationVector::delta1_then_ones(4, t).unwrap();
+            let mut digest = |name: &str, sep: &SeparationVector| {
+                let lab = registry.solve(
+                    name,
+                    &Problem::tree(&tr, sep),
+                    &mut ws,
+                    &Metrics::disabled(),
+                );
+                let digest = fnv1a64(lab.colors());
+                ws.recycle(lab);
+                digest
+            };
+            let row = [
+                digest("tree_l1", &ones),
+                digest("tree_approx_delta1", &d1_then_one),
+            ];
+            got.push((*shape, t, row));
+        }
+    }
+    assert_eq!(
+        got, PINNED_SHAPES,
+        "tree labelings drifted, got {got:#018x?}"
+    );
 }

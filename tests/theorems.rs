@@ -223,3 +223,63 @@ fn tree_l1_large_t_adversarial_shapes() {
         }
     }
 }
+
+/// Literature oracles for the tree code at sizes where levels are wide:
+/// `λ*_{T,2} = Δ` (the cliques of `T²` are closed stars), and A5's
+/// `L(2,1)` span lies in `[Δ+1, Δ+2]` (Griggs–Yeh: every tree needs `Δ+1`,
+/// and Theorem 5 gives at most `λ* + 2 = Δ + 2`). Legality is checked
+/// locally, without building `A_{T,2}`: adjacent colors differ by at least
+/// two and every closed neighborhood has distinct colors, which covers
+/// every pair at distance 2.
+#[test]
+fn tree_l21_spans_meet_griggs_yeh_at_scale() {
+    use strongly_simplicial::graph::generators;
+    use strongly_simplicial::netsim::BackboneNetwork;
+
+    let mut rng = StdRng::seed_from_u64(207);
+    let mut trees: Vec<(String, Graph)> = Vec::new();
+    for n in [1_024usize, 4_096, 16_384, 65_536] {
+        trees.push((
+            format!("random n={n}"),
+            generators::random_tree(n, &mut rng),
+        ));
+    }
+    for (n, max_degree) in [(1_024usize, 3), (4_096, 4), (16_384, 6), (65_536, 4)] {
+        let net = BackboneNetwork::generate(n, max_degree, &mut rng);
+        trees.push((format!("backbone n={n}"), net.graph().clone()));
+    }
+    trees.push(("star".into(), generators::star(65_536)));
+    trees.push(("path".into(), generators::path(65_536)));
+    for (name, g) in &trees {
+        let delta = g.max_degree() as u32;
+        let tr = RootedTree::bfs_canonical(g, 0).unwrap();
+        assert_eq!(
+            strongly_simplicial::tree::tree_lambda_star(&tr, 2) as u32,
+            delta,
+            "{name}: λ*_(T,2) = Δ"
+        );
+        let out = tree::approx_delta1_coloring(&tr, 2, 2);
+        let span = out.labeling.span();
+        assert!(
+            (delta + 1..=delta + 2).contains(&span),
+            "{name}: L(2,1) span {span} outside [Δ+1, Δ+2] for Δ = {delta}"
+        );
+        let cg = tr.to_graph();
+        let colors = out.labeling.colors();
+        let mut closed: Vec<u32> = Vec::new();
+        for v in cg.vertices() {
+            let cv = colors[v as usize];
+            closed.clear();
+            closed.push(cv);
+            for &u in cg.neighbors(v) {
+                assert!(cv.abs_diff(colors[u as usize]) >= 2, "{name}: edge {v}-{u}");
+                closed.push(colors[u as usize]);
+            }
+            closed.sort_unstable();
+            assert!(
+                closed.windows(2).all(|w| w[0] != w[1]),
+                "{name}: repeated color around {v}"
+            );
+        }
+    }
+}
